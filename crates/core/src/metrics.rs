@@ -199,7 +199,10 @@ pub struct ServiceMetrics {
     /// Mean wave fill: polynomials per wave relative to the serving
     /// engine's `lanes_total` capacity, capped at 1 per wave.
     pub wave_occupancy: f64,
-    /// Wall-clock seconds the dispatcher spent inside engine calls.
+    /// Dispatcher wall-clock seconds spent inside engine calls. A
+    /// concurrent RNS fan-out round counts once, for its wall clock —
+    /// not as the sum of its overlapping limb groups — so this never
+    /// exceeds the service's elapsed time.
     pub busy_secs: f64,
     /// Results per second of dispatcher busy time (`wave_polys /
     /// busy_secs`).

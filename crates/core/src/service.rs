@@ -23,8 +23,11 @@
 //!   canned specs ([`PipelineSpec::forward_ntt`] /
 //!   [`PipelineSpec::polymul`]) over the same path.
 //! * **Wave coalescing** — a dispatcher thread drains the queue in
-//!   batches: it waits (up to `coalesce_window`) for enough requests to
-//!   fill every lane of every shard, then executes one
+//!   batches. Its unit is the admission unit: one plain request, or one
+//!   whole RNS limb group ([`NttService::submit_rns`]), which takes one
+//!   lane on each of its limb engines. It waits (up to
+//!   `coalesce_window`) for enough units to fill every lane of the
+//!   widest tenant engine, drains that many, then executes one
 //!   [`ShardedBpNtt::run_pipeline_batch`] call per
 //!   `(tenant, spec, mode)` group — the whole op-graph runs per lane
 //!   with no intermediate load/read round-trips. Inside the engine the
@@ -681,10 +684,62 @@ struct Request {
     /// Deficit-round-robin cost: operand payload bytes (8 per
     /// coefficient, floored so even tiny requests spend deficit).
     cost: u64,
-    /// Part of an RNS limb group ([`NttService::submit_rns`]): the
-    /// dispatcher fans the wave's RNS groups out concurrently (one
-    /// engine per limb tenant) instead of running them back to back.
-    rns: bool,
+}
+
+/// The fair queue's unit of queueing, draining and wave budget: one
+/// plain request, or one whole RNS limb group
+/// ([`NttService::submit_rns`]) that moves atomically — its limbs are
+/// admitted, drained, shed and failed together, and it takes one lane
+/// on each limb engine of the wave it joins.
+enum Entry {
+    One(Request),
+    /// The limb requests of one big-modulus request, lead limb first;
+    /// they share one deadline.
+    Group(Vec<Request>),
+}
+
+impl Entry {
+    fn requests(&self) -> &[Request] {
+        match self {
+            Entry::One(r) => std::slice::from_ref(r),
+            Entry::Group(g) => g,
+        }
+    }
+
+    /// The tenant the entry queues under: the lead limb's for a group.
+    fn tenant(&self) -> TenantId {
+        self.requests()[0].tenant
+    }
+
+    /// DRR cost: the sum of the member requests' costs.
+    fn cost(&self) -> u64 {
+        self.requests().iter().map(|r| r.cost).sum()
+    }
+
+    fn deadline(&self) -> Option<Instant> {
+        self.requests()[0].deadline
+    }
+
+    /// Expired, or every waiter gone: shed before it costs a lane.
+    fn is_dead(&self, now: Instant) -> bool {
+        self.deadline().is_some_and(|d| d <= now)
+            || self.requests().iter().all(|r| r.reply.is_cancelled())
+    }
+}
+
+impl IntoIterator for Entry {
+    type Item = Request;
+    type IntoIter = std::iter::Chain<std::option::IntoIter<Request>, std::vec::IntoIter<Request>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        // An empty `Vec` does not allocate, so a plain request flattens
+        // without a heap round-trip.
+        let (one, group) = match self {
+            Entry::One(r) => (Some(r), Vec::new()),
+            Entry::Group(g) => (None, g),
+        };
+        one.into_iter().chain(group)
+    }
 }
 
 enum Control {
@@ -721,13 +776,23 @@ struct TenantInfo {
 /// rotates the ring. A zipf-hot tenant therefore drains at the same
 /// byte rate as everyone else once the queue contends — it can saturate
 /// idle capacity, never starve a peer.
+///
+/// The queue holds [`Entry`]s: an RNS limb group queues under its lead
+/// limb's tenant at the sum of its limb costs and drains whole. Depths
+/// ([`Self::len`], [`Self::depth_of`], [`Self::depths`]) still count
+/// limb requests, each under its own tenant.
 struct FairQueue {
-    sub: HashMap<TenantId, VecDeque<Request>>,
-    /// Tenants with queued requests, in round order.
+    sub: HashMap<TenantId, VecDeque<Entry>>,
+    /// Tenants with queued entries, in round order.
     ring: VecDeque<TenantId>,
     deficit: HashMap<TenantId, u64>,
     quantum: u64,
+    /// Queued limb requests per tenant (absent at zero).
+    depth: HashMap<TenantId, usize>,
+    /// Queued limb requests in total.
     len: usize,
+    /// Queued entries in total.
+    entries: usize,
 }
 
 impl FairQueue {
@@ -737,53 +802,87 @@ impl FairQueue {
             ring: VecDeque::new(),
             deficit: HashMap::new(),
             quantum: quantum.max(1),
+            depth: HashMap::new(),
             len: 0,
+            entries: 0,
         }
     }
 
+    /// Queued limb requests (the unit of `max_queue` admission).
     fn len(&self) -> usize {
         self.len
     }
 
-    fn is_empty(&self) -> bool {
-        self.len == 0
+    /// Queued entries (the unit of wave coalescing and draining).
+    fn entries(&self) -> usize {
+        self.entries
     }
 
-    fn push(&mut self, req: Request) {
-        let q = self.sub.entry(req.tenant).or_default();
+    fn is_empty(&self) -> bool {
+        self.entries == 0
+    }
+
+    fn push(&mut self, entry: Entry) {
+        for r in entry.requests() {
+            *self.depth.entry(r.tenant).or_insert(0) += 1;
+        }
+        self.len += entry.requests().len();
+        self.entries += 1;
+        let tenant = entry.tenant();
+        let q = self.sub.entry(tenant).or_default();
         if q.is_empty() {
             // (Re-)entering the ring starts from a clean deficit: credit
             // does not accrue while a tenant has nothing queued.
-            self.ring.push_back(req.tenant);
-            self.deficit.insert(req.tenant, 0);
+            self.ring.push_back(tenant);
+            self.deficit.insert(tenant, 0);
         }
-        q.push_back(req);
-        self.len += 1;
+        q.push_back(entry);
+    }
+
+    /// Takes a popped entry off the depth counters.
+    fn forget(&mut self, entry: &Entry) {
+        for r in entry.requests() {
+            let d = self
+                .depth
+                .get_mut(&r.tenant)
+                .expect("queued requests are counted");
+            *d -= 1;
+            if *d == 0 {
+                self.depth.remove(&r.tenant);
+            }
+        }
+        self.len -= entry.requests().len();
+        self.entries -= 1;
     }
 
     fn earliest_deadline(&self) -> Option<Instant> {
-        self.sub.values().flatten().filter_map(|r| r.deadline).min()
+        self.sub
+            .values()
+            .flatten()
+            .filter_map(Entry::deadline)
+            .min()
     }
 
     /// Per-tenant queued depths, for the metrics snapshot.
     fn depths(&self) -> HashMap<TenantId, usize> {
-        self.sub.iter().map(|(t, q)| (*t, q.len())).collect()
+        self.depth.clone()
     }
 
     /// One tenant's queued depth, for fair-share admission.
     fn depth_of(&self, tenant: TenantId) -> usize {
-        self.sub.get(&tenant).map_or(0, VecDeque::len)
+        self.depth.get(&tenant).copied().unwrap_or(0)
     }
 
-    /// One DRR drain of up to `max` requests into `out`. The ring head
-    /// gains `quantum` deficit per visit and releases requests while the
+    /// One DRR drain of up to `max` entries into `out`. The ring head
+    /// gains `quantum` deficit per visit and releases entries while the
     /// deficit covers their cost; an emptied tenant leaves the ring, an
     /// exhausted one rotates behind its peers.
-    fn drain_round(&mut self, max: usize, out: &mut Vec<Request>) {
-        while out.len() < max && self.len > 0 {
+    fn drain_round(&mut self, max: usize, out: &mut Vec<Entry>) {
+        while out.len() < max && self.entries > 0 {
             let Some(&tenant) = self.ring.front() else {
                 break;
             };
+            let start = out.len();
             let deficit = self.deficit.entry(tenant).or_insert(0);
             *deficit = deficit.saturating_add(self.quantum);
             let q = self
@@ -792,14 +891,18 @@ impl FairQueue {
                 .expect("ring tenant has a sub-queue");
             while out.len() < max {
                 let Some(head) = q.front() else { break };
-                if head.cost > *deficit {
+                let cost = head.cost();
+                if cost > *deficit {
                     break;
                 }
-                *deficit -= head.cost;
+                *deficit -= cost;
                 out.push(q.pop_front().expect("front() was Some"));
-                self.len -= 1;
             }
-            if q.is_empty() {
+            let emptied = q.is_empty();
+            for e in &out[start..] {
+                self.forget(e);
+            }
+            if emptied {
                 self.ring.pop_front();
                 self.sub.remove(&tenant);
                 self.deficit.remove(&tenant);
@@ -810,25 +913,27 @@ impl FairQueue {
         }
     }
 
-    /// Removes every queued request that already expired or whose ticket
-    /// was cancelled, so dead work sheds typed before it costs a wave
-    /// lane (or blocks a live request behind it in the sub-queue).
+    /// Removes every queued entry that already expired or whose waiters
+    /// all cancelled, so dead work sheds typed before it costs a wave
+    /// lane (or blocks a live entry behind it in the sub-queue). Returns
+    /// the dead entries' requests.
     fn remove_dead(&mut self, now: Instant) -> Vec<Request> {
         let mut dead = Vec::new();
         for q in self.sub.values_mut() {
             let mut keep = VecDeque::with_capacity(q.len());
-            while let Some(r) = q.pop_front() {
-                let expired = r.deadline.is_some_and(|d| d <= now);
-                if expired || r.reply.is_cancelled() {
-                    dead.push(r);
+            while let Some(e) = q.pop_front() {
+                if e.is_dead(now) {
+                    dead.push(e);
                 } else {
-                    keep.push_back(r);
+                    keep.push_back(e);
                 }
             }
             *q = keep;
         }
         if !dead.is_empty() {
-            self.len -= dead.len();
+            for e in &dead {
+                self.forget(e);
+            }
             let emptied: Vec<TenantId> = self
                 .sub
                 .iter()
@@ -841,7 +946,7 @@ impl FairQueue {
             }
             self.ring.retain(|t| !emptied.contains(t));
         }
-        dead
+        dead.into_iter().flatten().collect()
     }
 
     /// Empties the whole queue (shutdown paths; fairness no longer
@@ -849,11 +954,13 @@ impl FairQueue {
     fn drain_all(&mut self) -> Vec<Request> {
         let mut out = Vec::with_capacity(self.len);
         for (_, q) in self.sub.drain() {
-            out.extend(q);
+            out.extend(q.into_iter().flatten());
         }
         self.ring.clear();
         self.deficit.clear();
+        self.depth.clear();
         self.len = 0;
+        self.entries = 0;
         out
     }
 }
@@ -931,8 +1038,9 @@ struct MetricsState {
     /// Default tenant's per-shard health codes, refreshed with the
     /// counters.
     shard_health: Vec<u8>,
-    /// EWMA of the dispatcher's recent drain rate (requests per second),
-    /// the basis of the `retry_after_ms` back-off hints.
+    /// EWMA of the dispatcher's recent drain rate (limb requests per
+    /// second of busy wall clock, one sample per wave), the basis of
+    /// the `retry_after_ms` back-off hints.
     drain_rate: f64,
     /// Big-modulus requests accepted through `submit_rns` (one per
     /// group, however many limbs it decomposed into).
@@ -1314,7 +1422,6 @@ impl NttService {
             reply,
             deadline,
             cost,
-            rns: false,
         })?;
         Ok(ticket)
     }
@@ -1371,10 +1478,13 @@ impl NttService {
     /// group. The big-integer inputs decompose into one residue
     /// polynomial per limb at submit time (validating degree and
     /// reduction mod `Q`); the limb requests enqueue **atomically** as
-    /// one wave-coherent group, so the dispatcher picks them up in the
-    /// same wave and fans them out concurrently across the limb
-    /// tenants' engines. The returned [`RnsTicket`] resolves to the
-    /// per-limb outputs plus their CRT reconstruction.
+    /// one queue entry — the unit the dispatcher coalesces and drains,
+    /// like a plain request — so every limb is drained into the same
+    /// wave, where the group takes one lane on each limb tenant's
+    /// engine and the limbs fan out concurrently across those engines.
+    /// A wave's budget of `lanes_total` entries therefore carries that
+    /// many big-modulus requests. The returned [`RnsTicket`] resolves
+    /// to the per-limb outputs plus their CRT reconstruction.
     ///
     /// Fault tolerance is per limb: a corrupted limb walks the ordinary
     /// detect → retry → quarantine → degrade ladder on its own engine
@@ -1451,7 +1561,6 @@ impl NttService {
                 reply,
                 deadline,
                 cost,
-                rns: true,
             });
             tickets.push(ticket);
         }
@@ -1703,7 +1812,7 @@ impl NttService {
                     retry_after_ms,
                 });
             }
-            st.queue.push(req);
+            st.queue.push(Entry::One(req));
             // Count the submission before the state lock drops: once it
             // does, the dispatcher may complete the request, and a
             // snapshot must never show completed > submitted. (Metrics
@@ -1726,7 +1835,8 @@ impl NttService {
     /// would leave the client's [`RnsTicket`] waiting on limbs that
     /// never ran. The group spends **one** rate-limit token (on the
     /// lead limb's bucket): an RNS submission is one logical request,
-    /// however many limbs it fans into.
+    /// however many limbs it fans into. It also queues as one
+    /// [`Entry`], so its limbs always drain into the same wave.
     fn enqueue_rns_group(&self, reqs: Vec<Request>) -> Result<(), BpNttError> {
         let limbs = reqs.len();
         let lead = reqs[0].tenant;
@@ -1779,9 +1889,7 @@ impl NttService {
                 });
             }
             let costs: Vec<(TenantId, u64)> = reqs.iter().map(|r| (r.tenant, r.cost)).collect();
-            for req in reqs {
-                st.queue.push(req);
-            }
+            st.queue.push(Entry::Group(reqs));
             let depth = st.queue.len();
             let mut m = self.shared.metrics.lock().expect("metrics poisoned");
             m.submitted += limbs as u64;
@@ -2152,9 +2260,11 @@ fn dispatcher_loop(shared: &Shared) {
             Action::Work => {
                 // Coalesce: wait (bounded) until the queue could fill
                 // every lane of the widest tenant engine, then drain one
-                // fair round of at most that many requests — a wave's
+                // fair round of at most that many entries — a wave's
                 // worth, deficit-round-robin across tenants, so a deep
-                // hot-tenant backlog cannot monopolize the next wave.
+                // hot-tenant backlog cannot monopolize the next wave. An
+                // entry is a plain request or a whole RNS limb group,
+                // which takes one lane on each of its limb engines.
                 let target = engines
                     .values()
                     .map(|t| t.engine.lanes_total())
@@ -2168,7 +2278,7 @@ fn dispatcher_loop(shared: &Shared) {
                     // joins this wave nor blocks live requests behind it.
                     let dead = st.queue.remove_dead(Instant::now());
                     let deadline = Instant::now() + shared.coalesce_window;
-                    while !st.shutdown && st.control.is_empty() && st.queue.len() < target {
+                    while !st.shutdown && st.control.is_empty() && st.queue.entries() < target {
                         // Never coalesce past the earliest per-request
                         // deadline: a tight-deadline request would expire
                         // while the dispatcher idles waiting for company.
@@ -2336,12 +2446,15 @@ fn execute_wave(
     shared: &Shared,
     engines: &mut HashMap<TenantId, TenantEngine>,
     cache: &mut SharedArtifacts,
-    drained: Vec<Request>,
+    drained: Vec<Entry>,
 ) {
     let mut groups: Vec<WaveGroup> = Vec::new();
     let mut index: HashMap<(TenantId, PipelineSpec, ExecMode), usize> = HashMap::new();
     let now = Instant::now();
-    for req in drained {
+    for (req, rns) in drained.into_iter().flat_map(|e| {
+        let rns = matches!(e, Entry::Group(_));
+        e.into_iter().map(move |r| (r, rns))
+    }) {
         let Request {
             tenant,
             spec,
@@ -2350,7 +2463,6 @@ fn execute_wave(
             reply,
             deadline,
             cost: _,
-            rns,
         } = req;
         if let Some(d) = deadline {
             // Expired in the queue: fail typed before the request costs
@@ -2409,13 +2521,21 @@ fn execute_wave(
     // queueing behind each other.
     let (rns_groups, serial): (Vec<WaveGroup>, Vec<WaveGroup>) =
         groups.into_iter().partition(|g| g.rns);
+    // Dispatcher wall clock spent executing, and the requests it ran:
+    // a serial group's engine call counts once, and so does each
+    // concurrent fan-out round (not once per limb group inside it).
+    let mut busy_secs = 0.0;
+    let mut ran = 0;
     for group in serial {
         let Some(te) = engines.get_mut(&group.tenant) else {
             fail_unknown_tenant(shared, group);
             continue;
         };
         match resolve_pipeline(shared, te, cache, &group.spec) {
-            Ok(()) => run_group(shared, &mut te.engine, group),
+            Ok(()) => {
+                ran += group.replies.len();
+                busy_secs += run_group(shared, &mut te.engine, group);
+            }
             Err(e) => fail_group(shared, group, &e),
         }
     }
@@ -2475,11 +2595,26 @@ fn execute_wave(
             m.rns_fanout_waves += 1;
             m.rns_fanout_occupancy_sum += (busy_sum as f64 / cap_sum.max(1) as f64).min(1.0);
         }
+        ran += pairs.iter().map(|(_, g)| g.replies.len()).sum::<usize>();
+        let t = Instant::now();
         std::thread::scope(|scope| {
             for (te, group) in pairs {
                 scope.spawn(move || run_group(shared, &mut te.engine, group));
             }
         });
+        busy_secs += t.elapsed().as_secs_f64();
+    }
+    if ran > 0 {
+        let mut m = shared.metrics.lock().expect("metrics poisoned");
+        m.busy_secs += busy_secs;
+        // Drain-rate EWMA in limb requests per second of dispatcher
+        // wall clock — the unit `retry_hint` divides the queue depth by.
+        let rate = ran as f64 / busy_secs.max(1e-6);
+        m.drain_rate = if m.drain_rate == 0.0 {
+            rate
+        } else {
+            0.2 * rate + 0.8 * m.drain_rate
+        };
     }
     // Waves move the health machine too (faults scored, quarantines,
     // canary credit): refresh the published counters and shard states.
@@ -2553,7 +2688,9 @@ fn resolve_pipeline(
 /// resolves every ticket — the timed leg of both the serial pass and
 /// the concurrent RNS rounds (engines are disjoint there, so this runs
 /// on scoped threads; all counters live behind the metrics lock).
-fn run_group(shared: &Shared, engine: &mut ShardedBpNtt, group: WaveGroup) {
+/// Returns the engine call's wall-clock seconds; the caller charges
+/// dispatcher busy time, since concurrent groups overlap.
+fn run_group(shared: &Shared, engine: &mut ShardedBpNtt, group: WaveGroup) -> f64 {
     let capacity = engine.lanes_total().max(1);
     let batch = group.replies.len();
     let slot_refs: Vec<&[Vec<u64>]> = group.slots.iter().map(Vec::as_slice).collect();
@@ -2570,15 +2707,6 @@ fn run_group(shared: &Shared, engine: &mut ShardedBpNtt, group: WaveGroup) {
         m.waves += 1;
         m.wave_polys += batch as u64;
         m.occupancy_sum += (batch as f64 / capacity as f64).min(1.0);
-        m.busy_secs += elapsed;
-        // Drain-rate EWMA: the basis of retry_after_ms hints handed
-        // to shed clients.
-        let rate = batch as f64 / elapsed.max(1e-6);
-        m.drain_rate = if m.drain_rate == 0.0 {
-            rate
-        } else {
-            0.2 * rate + 0.8 * m.drain_rate
-        };
         for &s in engine.last_wave_shard_secs() {
             if m.shard_secs.len() == SHARD_SAMPLE_WINDOW {
                 m.shard_secs.pop_front();
@@ -2622,6 +2750,7 @@ fn run_group(shared: &Shared, engine: &mut ShardedBpNtt, group: WaveGroup) {
             }
         }
     }
+    elapsed
 }
 
 #[cfg(test)]
@@ -2825,43 +2954,108 @@ mod tests {
         assert!(plain.wait_timeout(Duration::from_millis(5)).is_none());
     }
 
+    /// A queued (never executed) forward request on `tenant` at DRR
+    /// cost `cost`, for driving the fair queue directly.
+    fn queued(tenant: u32, cost: u64) -> Request {
+        let (_t, reply) = Ticket::channel(None);
+        Request {
+            tenant: TenantId(tenant),
+            spec: PipelineSpec::forward_ntt(),
+            mode: ExecMode::Replay,
+            inputs: vec![pseudo(8, 97, u64::from(tenant) + cost)],
+            reply,
+            deadline: None,
+            cost,
+        }
+    }
+
+    /// A limb group led by `lead`, one limb on each of the next
+    /// `limbs` tenants, every limb at DRR cost `cost`.
+    fn queued_group(lead: u32, limbs: u32, cost: u64) -> Entry {
+        Entry::Group((lead..lead + limbs).map(|t| queued(t, cost)).collect())
+    }
+
+    fn entry_tenant(e: &Entry) -> Option<u32> {
+        match e {
+            Entry::One(r) => Some(r.tenant.raw()),
+            Entry::Group(_) => None,
+        }
+    }
+
     #[test]
     fn fair_queue_interleaves_tenants_per_round() {
         // Direct DRR check: tenant 0 floods 6 requests, tenant 1 queues
-        // 2; with one quantum covering one request, a 4-request round
-        // takes 2 from each instead of 4 from the flooder.
-        let mk = |tenant: u32, seed: u64| {
-            let (_t, reply) = Ticket::channel(None);
-            Request {
-                tenant: TenantId(tenant),
-                spec: PipelineSpec::forward_ntt(),
-                mode: ExecMode::Replay,
-                inputs: vec![pseudo(8, 97, seed)],
-                reply,
-                deadline: None,
-                cost: 64,
-                rns: false,
-            }
-        };
+        // 2, and tenant 2 leads one 3-limb group (limbs on 2, 3, 4);
+        // with one quantum covering one plain request, a 4-entry round
+        // takes 2 from each plain tenant instead of 4 from the flooder,
+        // and the group (3 quanta) is still accruing deficit.
         let mut q = FairQueue::new(64);
-        for s in 0..6 {
-            q.push(mk(0, s + 1));
+        for _ in 0..6 {
+            q.push(Entry::One(queued(0, 64)));
         }
-        for s in 0..2 {
-            q.push(mk(1, s + 10));
+        for _ in 0..2 {
+            q.push(Entry::One(queued(1, 64)));
         }
-        assert_eq!(q.len(), 8);
+        q.push(queued_group(2, 3, 64));
+        assert_eq!((q.len(), q.entries()), (11, 9));
+        assert_eq!(
+            q.depth_of(TenantId(3)),
+            1,
+            "limbs count under their own tenant"
+        );
         let mut round = Vec::new();
         q.drain_round(4, &mut round);
-        let hot = round.iter().filter(|r| r.tenant == TenantId(0)).count();
-        let cold = round.iter().filter(|r| r.tenant == TenantId(1)).count();
+        let hot = round.iter().filter(|e| entry_tenant(e) == Some(0)).count();
+        let cold = round.iter().filter(|e| entry_tenant(e) == Some(1)).count();
         assert_eq!((hot, cold), (2, 2), "DRR must interleave the tenants");
-        // Tenant 1 empties out; the rest of the backlog belongs to 0.
+        // Tenant 1 empties out; the flooder and the group share the
+        // rest by bytes: the group drains once it has accrued its 192 B
+        // cost, by which time the flooder has drained 3 × 64 B.
         let mut rest = Vec::new();
         q.drain_round(10, &mut rest);
-        assert_eq!(rest.len(), 4);
-        assert!(rest.iter().all(|r| r.tenant == TenantId(0)));
+        assert_eq!(rest.len(), 5);
+        let at = rest
+            .iter()
+            .position(|e| matches!(e, Entry::Group(_)))
+            .expect("the group drains");
+        assert_eq!(at, 1, "one more flooder request, then the group");
+        assert!(rest
+            .iter()
+            .filter(|e| matches!(e, Entry::One(_)))
+            .all(|e| entry_tenant(e) == Some(0)));
         assert!(q.is_empty());
+        assert_eq!(q.len(), 0);
+        assert!(q.depths().is_empty());
+    }
+
+    #[test]
+    fn fair_queue_drains_rns_groups_whole() {
+        // 20 three-limb groups at the default quantum, each limb one
+        // quantum's worth (an N = 256 polymul's operands): one wave's
+        // budget of 16 entries takes 16 whole groups, never a 6/5/5
+        // split of 16 limbs across the limb tenants.
+        let quantum = ServiceOptions::default().drr_quantum;
+        let mut q = FairQueue::new(quantum);
+        for _ in 0..20 {
+            q.push(queued_group(1, 3, quantum));
+        }
+        let mut wave = Vec::new();
+        q.drain_round(16, &mut wave);
+        assert_eq!(wave.len(), 16);
+        for e in &wave {
+            let limbs: Vec<u32> = e.requests().iter().map(|r| r.tenant.raw()).collect();
+            assert_eq!(limbs, [1, 2, 3], "a drained group carries every limb");
+        }
+        // The 4 undrained groups kept every limb queued.
+        assert_eq!((q.entries(), q.len()), (4, 12));
+        for t in 1..=3 {
+            assert_eq!(q.depth_of(TenantId(t)), 4);
+        }
+        // The helper's tickets are already dropped, so every remaining
+        // group is dead: shedding takes all 4 whole and clears the counts.
+        assert_eq!(q.remove_dead(Instant::now()).len(), 12);
+        assert!(q.is_empty() && q.depths().is_empty());
+        assert_eq!(q.len(), 0);
     }
 
     #[test]
@@ -3187,7 +3381,7 @@ mod tests {
         let doomed = {
             let (ticket, reply) = Ticket::channel(None);
             let mut st = service.shared.state.lock().unwrap();
-            st.queue.push(Request {
+            st.queue.push(Entry::One(Request {
                 tenant: service.default_tenant,
                 spec: PipelineSpec::forward_ntt(),
                 mode: ExecMode::Replay,
@@ -3195,8 +3389,7 @@ mod tests {
                 reply,
                 deadline: None,
                 cost: 64,
-                rns: false,
-            });
+            }));
             st.control.push_back(Control::Crash);
             drop(st);
             service.shared.cv.notify_all();
@@ -3446,6 +3639,81 @@ mod tests {
             assert_eq!(got.coefficients, expect);
         }
         let _ = service.shutdown();
+    }
+
+    #[test]
+    fn lanes_total_rns_groups_run_as_one_full_fanout_round() {
+        // A long coalesce window and exactly one wave's budget of 3-limb
+        // groups: the whole batch drains as one fan-out round in which
+        // every limb engine runs a full `lanes_total` wave.
+        let opts = ServiceOptions {
+            coalesce_window: Duration::from_secs(10),
+            ..ServiceOptions::default()
+        };
+        let service = NttService::start(&config8(), opts.clone()).unwrap();
+        let basis = rns_basis64();
+        let handle = service.add_rns_tenant(140, 128, 16, &basis).unwrap();
+        let limb_cfg = BpNttConfig::new(140, 128, 16, basis.params()[0].clone()).unwrap();
+        let lanes_total = opts.shards * limb_cfg.layout().lanes();
+        assert!(
+            lanes_total > opts.shards * config8().layout().lanes(),
+            "the limb engines set the wave budget"
+        );
+        let pairs: Vec<(Vec<BigUint>, Vec<BigUint>)> = (0..lanes_total as u64)
+            .map(|i| (big_poly(&basis, 100 + 2 * i), big_poly(&basis, 101 + 2 * i)))
+            .collect();
+        let tickets: Vec<RnsTicket> = pairs
+            .iter()
+            .map(|(a, b)| {
+                service
+                    .submit_rns(&handle, RnsRequest::polymul(a.clone(), b.clone()))
+                    .unwrap()
+            })
+            .collect();
+        for ((a, b), ticket) in pairs.iter().zip(tickets) {
+            let expect = bpntt_rns::reference::negacyclic_polymul_basis(a, b, &basis).unwrap();
+            assert_eq!(ticket.wait().unwrap().coefficients, expect);
+        }
+        let m = service.shutdown();
+        assert_eq!(m.rns_fanout_waves, 1, "one fan-out round for the batch");
+        assert_eq!(m.rns_fanout_occupancy, 1.0, "every limb engine ran full");
+        assert_eq!(m.waves, 3, "one engine call per limb tenant");
+        assert_eq!(m.completed, 3 * lanes_total as u64);
+    }
+
+    #[test]
+    fn busy_time_is_wall_clock_across_rns_rounds() {
+        // Concurrent limb groups overlap in time: dispatcher busy time
+        // charges each fan-out round once, so it can never exceed the
+        // wall clock the service has been running.
+        let service = NttService::start(&config8(), ServiceOptions::default()).unwrap();
+        let basis = rns_basis64();
+        let handle = service.add_rns_tenant(140, 128, 16, &basis).unwrap();
+        let t0 = Instant::now();
+        let tickets: Vec<RnsTicket> = (0..40)
+            .map(|i| {
+                service
+                    .submit_rns(
+                        &handle,
+                        RnsRequest::polymul(
+                            big_poly(&basis, 200 + 2 * i),
+                            big_poly(&basis, 201 + 2 * i),
+                        ),
+                    )
+                    .unwrap()
+            })
+            .collect();
+        for ticket in tickets {
+            assert!(ticket.wait().is_ok());
+        }
+        let m = service.shutdown();
+        let wall = t0.elapsed().as_secs_f64();
+        assert!(m.rns_fanout_waves >= 3, "40 groups need several rounds");
+        assert!(
+            m.busy_secs > 0.0 && m.busy_secs <= wall,
+            "busy {:.4} s must not exceed the {wall:.4} s wall clock",
+            m.busy_secs
+        );
     }
 
     #[test]
