@@ -49,29 +49,16 @@
 //! forward/forward/pointwise/inverse product per lane).
 //! `native_vs_shoup` > 1 means the bit-parallel native backend beats
 //! the software NTT on this box.
-//!
-//! The `rns` block measures the RNS/CRT multi-limb engine on a 3-limb
-//! basis at N = 256: `fanned_ms` fans the limbs out concurrently (one
-//! engine per residue prime), `sequential_ms` runs the same limbs back
-//! to back on the same engines — the wave-occupancy gap between the two
-//! (`occupancy_fanout` vs `occupancy_single_limb`) is the utilisation
-//! the fan-out recovers — and `bigint_reference_ms` is the hand-rolled
-//! bigint schoolbook product mod `Q` the reconstruction is verified
-//! against (`reconstruction_exact`). `plan_cache_hits` counts compiled
-//! plans a sibling context imported instead of recompiling.
 
 use std::fmt::Write as _;
-use std::sync::Arc;
 use std::time::Instant;
 
 use bpntt_core::{
-    new_backend, BackendKind, BigUint, BpNtt, BpNttConfig, ExecMode, PipelineSpec, RnsBasis,
-    RnsContext, RnsPlanCache, ShardedBpNtt,
+    new_backend, BackendKind, BpNtt, BpNttConfig, ExecMode, PipelineSpec, ShardedBpNtt,
 };
 use bpntt_ntt::forward::ntt_in_place;
 use bpntt_ntt::polymul::polymul_ntt_with;
 use bpntt_ntt::{NttParams, TwiddleTable};
-use bpntt_rns::reference::negacyclic_polymul_basis;
 
 struct Options {
     cols: Vec<usize>,
@@ -413,113 +400,6 @@ fn main() {
         );
     }
     json.push_str("\n  ],\n");
-
-    // ---- RNS dimension: a 3-limb (~42-bit Q) negacyclic polymul at
-    // N = 256, limbs fanned out concurrently vs run back to back on the
-    // same engines, verified against the bigint reference product.
-    {
-        let basis = Arc::new(RnsBasis::new(256, &[12289, 13313, 15361]).unwrap());
-        let cache = RnsPlanCache::new();
-        let mut ctx = RnsContext::with_plan_cache(
-            Arc::clone(&basis),
-            518,
-            cols_sharded,
-            16,
-            basis.limbs(),
-            BackendKind::Sim,
-            cache.clone(),
-        )
-        .unwrap();
-        let spec = PipelineSpec::polymul();
-        let mut x = 0xB16B_u64 | 1;
-        let mut big = |count: usize| -> Vec<BigUint> {
-            (0..count)
-                .map(|_| {
-                    let mut limbs = Vec::with_capacity(2);
-                    for _ in 0..2 {
-                        x ^= x << 13;
-                        x ^= x >> 7;
-                        x ^= x << 17;
-                        limbs.push(x);
-                    }
-                    BigUint::from_limbs(limbs).rem(basis.modulus())
-                })
-                .collect()
-        };
-        let a = big(256);
-        let b = big(256);
-        let slots_a = vec![a.clone()];
-        let slots_b = vec![b.clone()];
-        let inputs: Vec<&[Vec<BigUint>]> = vec![&slots_a, &slots_b];
-
-        // Warm the compiled plans, then interleaved best-of.
-        let fanned_out = ctx.run_rns_batch(&spec, ExecMode::Replay, &inputs).unwrap();
-        let mut bf = f64::MAX;
-        let mut bs = f64::MAX;
-        let mut bref = f64::MAX;
-        for _ in 0..6 {
-            bf = bf.min(best_of(1, 2, || {
-                ctx.run_rns_batch(&spec, ExecMode::Replay, &inputs).unwrap();
-            }));
-        }
-        let occupancy_fanout = ctx.last_wave().occupancy;
-        for _ in 0..6 {
-            bs = bs.min(best_of(1, 2, || {
-                ctx.run_limbs_sequential(&spec, ExecMode::Replay, &inputs)
-                    .unwrap();
-            }));
-        }
-        let occupancy_single = ctx.last_wave().occupancy;
-        for _ in 0..6 {
-            bref = bref.min(best_of(1, 1, || {
-                negacyclic_polymul_basis(&a, &b, &basis).unwrap();
-            }));
-        }
-        let expect = negacyclic_polymul_basis(&a, &b, &basis).unwrap();
-        let exact = fanned_out[0] == expect;
-
-        // A sibling context over the same shared cache imports every
-        // limb's compiled plans instead of recompiling.
-        let mut sibling = RnsContext::with_plan_cache(
-            Arc::clone(&basis),
-            518,
-            cols_sharded,
-            16,
-            basis.limbs(),
-            BackendKind::Sim,
-            cache.clone(),
-        )
-        .unwrap();
-        sibling.compile(&spec).unwrap();
-        let plan_cache_hits = cache.hits();
-
-        let _ = writeln!(
-            json,
-            "  \"rns\": {{\"n\": 256, \"limbs\": {}, \"modulus_bits\": {}, \"cols\": {cols_sharded}, \"fanned_ms\": {:.3}, \"sequential_ms\": {:.3}, \"fanout_speedup\": {:.2}, \"bigint_reference_ms\": {:.3}, \"occupancy_fanout\": {:.3}, \"occupancy_single_limb\": {:.3}, \"plan_cache_hits\": {plan_cache_hits}, \"reconstruction_exact\": {exact}}},",
-            basis.limbs(),
-            basis.modulus_bits(),
-            bf * 1e3,
-            bs * 1e3,
-            bs / bf,
-            bref * 1e3,
-            occupancy_fanout,
-            occupancy_single,
-        );
-        println!(
-            "rns (3 limbs, {}-bit Q, N=256): fanned {:.2} ms, sequential {:.2} ms ({:.2}x), bigint reference {:.2} ms, occupancy {:.3} fanned vs {:.3} single-limb, {plan_cache_hits} plan-cache hits, reconstruction exact: {exact}",
-            basis.modulus_bits(),
-            bf * 1e3,
-            bs * 1e3,
-            bs / bf,
-            bref * 1e3,
-            occupancy_fanout,
-            occupancy_single,
-        );
-        assert!(
-            exact,
-            "RNS reconstruction diverged from the bigint reference"
-        );
-    }
 
     let _ = write!(
         json,

@@ -51,7 +51,6 @@ pub mod kernels;
 pub mod layout;
 pub mod metrics;
 pub mod pipeline;
-pub mod rns;
 pub mod service;
 pub mod sharded;
 pub mod verify;
@@ -67,7 +66,6 @@ pub use kernels::Kernels;
 pub use layout::{Layout, RowMap};
 pub use metrics::{PerfReport, ServiceMetrics, TenantMetrics};
 pub use pipeline::{CompiledPipeline, ExecMode, PipeOp, PipelineSpec};
-pub use rns::{RnsContext, RnsPlanCache, RnsWaveReport};
 pub use service::{
     NttService, PipelineRequest, RateLimit, RnsHandle, RnsRequest, RnsResult, RnsTicket,
     ServiceOptions, TenantId, Ticket,

@@ -35,7 +35,16 @@
 //!   fewer chunks instead of stalling the wave.
 //! * **Backpressure** — the queue is bounded; when it is full,
 //!   submission fails fast with [`BpNttError::Overloaded`] instead of
-//!   buffering without limit.
+//!   buffering without limit. Every submission, plain or RNS, passes the
+//!   same single admission decision: the per-tenant token bucket
+//!   ([`ServiceOptions::rate_limit`]), then tenant-fair shedding.
+//! * **RNS big-modulus requests** — [`NttService::add_rns_tenant`]
+//!   registers one limb tenant per residue prime of an
+//!   [`RnsBasis`]. [`NttService::submit_rns`] decomposes the big-integer
+//!   inputs, builds one ordinary request per limb, and admits the limbs
+//!   as one group: one rate-limit token, admitted or shed whole, drained
+//!   into one wave whose limb engines run concurrently.
+//!   [`RnsTicket::wait`] CRT-reconstructs the limb outputs.
 //! * **Deadlines** — each request may carry a queueing deadline
 //!   ([`PipelineRequest::with_deadline`], or
 //!   [`ServiceOptions::default_deadline`] for all). The dispatcher never
@@ -1370,59 +1379,10 @@ impl NttService {
     /// [`BpNttError::Overloaded`] under backpressure, and
     /// [`BpNttError::ServiceShutdown`] after shutdown.
     pub fn submit_pipeline(&self, req: PipelineRequest) -> Result<Ticket, BpNttError> {
-        let PipelineRequest {
-            tenant,
-            spec,
-            mode,
-            inputs,
-            deadline,
-        } = req;
-        let tenant = tenant.unwrap_or(self.default_tenant);
-        let info = self.tenant_info(tenant)?;
-        spec.check(&info.layout, info.q)?;
-        if spec.output_slot().is_none() {
-            return Err(BpNttError::InvalidPipeline {
-                reason: "service pipelines must declare an output slot".into(),
-            });
-        }
-        if spec.input_slots().is_empty() {
-            // Resident (no-input) graphs are an engine-level feature; the
-            // sharded work-stealing dispatcher has no stable chunk→shard
-            // assignment for on-array state to survive between requests.
-            return Err(BpNttError::InvalidPipeline {
-                reason: "service pipelines must declare at least one input slot".into(),
-            });
-        }
-        if inputs.len() != spec.input_slots().len() {
-            return Err(BpNttError::InvalidPipeline {
-                reason: format!(
-                    "spec declares {} input slot(s) but {} polynomial(s) were supplied",
-                    spec.input_slots().len(),
-                    inputs.len()
-                ),
-            });
-        }
-        for poly in &inputs {
-            validate_poly(&info, poly)?;
-        }
-        let deadline = deadline
-            .or(self.shared.default_deadline)
-            .map(|d| Instant::now() + d);
-        let (ticket, reply) = Ticket::channel(deadline);
-        let cost = inputs
-            .iter()
-            .map(|p| p.len() as u64 * 8)
-            .sum::<u64>()
-            .max(64);
-        self.enqueue(Request {
-            tenant,
-            spec,
-            mode,
-            inputs,
-            reply,
-            deadline,
-            cost,
-        })?;
+        let tenant = req.tenant.unwrap_or(self.default_tenant);
+        let deadline = self.deadline_at(req.deadline);
+        let (request, ticket) = self.prepare(tenant, req.spec, req.mode, req.inputs, deadline)?;
+        self.admit(Entry::One(request))?;
         Ok(ticket)
     }
 
@@ -1432,6 +1392,20 @@ impl NttService {
     /// tenants share compiled artifacts through the ordinary
     /// cross-tenant cache when their `(backend, params, layout)` keys
     /// collide (e.g. two RNS groups over the same basis).
+    ///
+    /// Why one tenant — one engine — per limb, and not mixed-prime
+    /// chunks: compiled programs, the fused word-engine emitters, and
+    /// the generic executor are all specialized to a single modulus `q`
+    /// (an engine's kernels bake `q` into the instruction stream).
+    /// Chunks of different primes therefore cannot share one physical
+    /// shard set; what *can* be shared is the wall-clock window. Limbs
+    /// are embarrassingly parallel (no cross-limb data flow until CRT
+    /// reconstruction), so the dispatcher runs a wave's limb engines
+    /// concurrently.
+    ///
+    /// Every limb configuration is validated before any limb registers,
+    /// so a basis that does not fit the geometry leaves no tenant
+    /// behind.
     ///
     /// # Errors
     ///
@@ -1463,11 +1437,15 @@ impl NttService {
         basis: &Arc<RnsBasis>,
         backend: BackendKind,
     ) -> Result<RnsHandle, BpNttError> {
-        let mut limbs = Vec::with_capacity(basis.limbs());
-        for params in basis.params() {
-            let config = BpNttConfig::new(rows, cols, bitwidth, params.clone())?;
-            limbs.push(self.add_tenant_with_backend(&config, backend)?);
-        }
+        let configs = basis
+            .params()
+            .iter()
+            .map(|params| BpNttConfig::new(rows, cols, bitwidth, params.clone()))
+            .collect::<Result<Vec<_>, _>>()?;
+        let limbs = configs
+            .iter()
+            .map(|config| self.add_tenant_with_backend(config, backend))
+            .collect::<Result<_, _>>()?;
         Ok(RnsHandle {
             basis: Arc::clone(basis),
             limbs,
@@ -1477,14 +1455,16 @@ impl NttService {
     /// Submits one big-modulus pipeline execution over an RNS tenant
     /// group. The big-integer inputs decompose into one residue
     /// polynomial per limb at submit time (validating degree and
-    /// reduction mod `Q`); the limb requests enqueue **atomically** as
-    /// one queue entry — the unit the dispatcher coalesces and drains,
-    /// like a plain request — so every limb is drained into the same
-    /// wave, where the group takes one lane on each limb tenant's
-    /// engine and the limbs fan out concurrently across those engines.
-    /// A wave's budget of `lanes_total` entries therefore carries that
-    /// many big-modulus requests. The returned [`RnsTicket`] resolves
-    /// to the per-limb outputs plus their CRT reconstruction.
+    /// reduction mod `Q`), and each limb becomes an ordinary request to
+    /// its limb tenant, validated as [`Self::submit_pipeline`] validates.
+    /// The limb requests are admitted **atomically** as one queue entry
+    /// — the unit the dispatcher coalesces and drains, like a plain
+    /// request — so every limb is drained into the same wave, where the
+    /// group takes one lane on each limb tenant's engine and the limbs
+    /// fan out concurrently across those engines. A wave's budget of
+    /// `lanes_total` entries therefore carries that many big-modulus
+    /// requests. The returned [`RnsTicket`] resolves to the per-limb
+    /// outputs plus their CRT reconstruction.
     ///
     /// Fault tolerance is per limb: a corrupted limb walks the ordinary
     /// detect → retry → quarantine → degrade ladder on its own engine
@@ -1492,82 +1472,39 @@ impl NttService {
     ///
     /// # Errors
     ///
+    /// [`BpNttError::Rns`] (wrong degree / unreduced coefficients),
     /// [`BpNttError::InvalidPipeline`] (graph defects, missing output,
-    /// input-count mismatch), [`BpNttError::Rns`] (wrong degree /
-    /// unreduced coefficients), [`BpNttError::UnknownTenant`] for a
-    /// stale handle, [`BpNttError::Overloaded`] /
-    /// [`BpNttError::RateLimited`] under backpressure (the whole group
-    /// is admitted or shed — never a partial limb set), and
-    /// [`BpNttError::ServiceShutdown`] after shutdown.
+    /// input-count mismatch), [`BpNttError::UnknownTenant`] for a stale
+    /// handle, [`BpNttError::Overloaded`] / [`BpNttError::RateLimited`]
+    /// under backpressure (the whole group is admitted or shed — never a
+    /// partial limb set), and [`BpNttError::ServiceShutdown`] after
+    /// shutdown.
     pub fn submit_rns(&self, handle: &RnsHandle, req: RnsRequest) -> Result<RnsTicket, BpNttError> {
-        let RnsRequest {
-            spec,
-            mode,
-            inputs,
-            deadline,
-        } = req;
-        let basis = &handle.basis;
-        if spec.output_slot().is_none() {
-            return Err(BpNttError::InvalidPipeline {
-                reason: "service pipelines must declare an output slot".into(),
-            });
-        }
-        if spec.input_slots().is_empty() {
-            return Err(BpNttError::InvalidPipeline {
-                reason: "service pipelines must declare at least one input slot".into(),
-            });
-        }
-        if inputs.len() != spec.input_slots().len() {
-            return Err(BpNttError::InvalidPipeline {
-                reason: format!(
-                    "spec declares {} input slot(s) but {} polynomial(s) were supplied",
-                    spec.input_slots().len(),
-                    inputs.len()
-                ),
-            });
-        }
-        // The spec must hold under every limb modulus (scale factors
-        // etc. are checked against each q_i) and the shared layout.
-        for &tenant in &handle.limbs {
-            let info = self.tenant_info(tenant)?;
-            spec.check(&info.layout, info.q)?;
-        }
         // Decompose slot-by-slot into limb-major residues; this is also
         // where degree and mod-Q reduction are enforced.
         let mut limb_inputs: Vec<Vec<Vec<u64>>> =
-            vec![Vec::with_capacity(inputs.len()); handle.limbs.len()];
-        for poly in &inputs {
-            for (limb, residues) in basis.decompose_poly(poly)?.into_iter().enumerate() {
+            vec![Vec::with_capacity(req.inputs.len()); handle.limbs.len()];
+        for poly in &req.inputs {
+            for (limb, residues) in handle.basis.decompose_poly(poly)?.into_iter().enumerate() {
                 limb_inputs[limb].push(residues);
             }
         }
-        let deadline = deadline
-            .or(self.shared.default_deadline)
-            .map(|d| Instant::now() + d);
-        let mut tickets = Vec::with_capacity(handle.limbs.len());
-        let mut requests = Vec::with_capacity(handle.limbs.len());
-        for (&tenant, inputs) in handle.limbs.iter().zip(limb_inputs) {
-            let (ticket, reply) = Ticket::channel(deadline);
-            let cost = inputs
-                .iter()
-                .map(|p| p.len() as u64 * 8)
-                .sum::<u64>()
-                .max(64);
-            requests.push(Request {
-                tenant,
-                spec: spec.clone(),
-                mode,
-                inputs,
-                reply,
-                deadline,
-                cost,
-            });
-            tickets.push(ticket);
-        }
-        self.enqueue_rns_group(requests)?;
+        // One deadline for the whole group: its limbs live and die
+        // together. Each limb is validated as an ordinary request to its
+        // tenant, so the spec must hold under every limb modulus.
+        let deadline = self.deadline_at(req.deadline);
+        let (requests, tickets) = handle
+            .limbs
+            .iter()
+            .zip(limb_inputs)
+            .map(|(&tenant, inputs)| {
+                self.prepare(tenant, req.spec.clone(), req.mode, inputs, deadline)
+            })
+            .collect::<Result<(Vec<_>, Vec<_>), _>>()?;
+        self.admit(Entry::Group(requests))?;
         Ok(RnsTicket {
             tickets,
-            basis: Arc::clone(basis),
+            basis: Arc::clone(&handle.basis),
         })
     }
 
@@ -1750,9 +1687,79 @@ impl NttService {
             .ok_or(BpNttError::UnknownTenant { tenant: tenant.0 })
     }
 
-    fn enqueue(&self, req: Request) -> Result<(), BpNttError> {
-        let tenant = req.tenant;
-        let cost = req.cost;
+    /// The absolute expiry of a request submitted now: its own
+    /// deadline, else the service default.
+    fn deadline_at(&self, deadline: Option<Duration>) -> Option<Instant> {
+        deadline
+            .or(self.shared.default_deadline)
+            .map(|d| Instant::now() + d)
+    }
+
+    /// Validates one pipeline execution against `tenant`'s registered
+    /// parameters and builds its queued [`Request`] and [`Ticket`]. The
+    /// one validation path for plain requests and RNS limbs alike.
+    fn prepare(
+        &self,
+        tenant: TenantId,
+        spec: PipelineSpec,
+        mode: ExecMode,
+        inputs: Vec<Vec<u64>>,
+        deadline: Option<Instant>,
+    ) -> Result<(Request, Ticket), BpNttError> {
+        let info = self.tenant_info(tenant)?;
+        spec.check(&info.layout, info.q)?;
+        if spec.output_slot().is_none() {
+            return Err(BpNttError::InvalidPipeline {
+                reason: "service pipelines must declare an output slot".into(),
+            });
+        }
+        if spec.input_slots().is_empty() {
+            // Resident (no-input) graphs are an engine-level feature; the
+            // sharded work-stealing dispatcher has no stable chunk→shard
+            // assignment for on-array state to survive between requests.
+            return Err(BpNttError::InvalidPipeline {
+                reason: "service pipelines must declare at least one input slot".into(),
+            });
+        }
+        if inputs.len() != spec.input_slots().len() {
+            return Err(BpNttError::InvalidPipeline {
+                reason: format!(
+                    "spec declares {} input slot(s) but {} polynomial(s) were supplied",
+                    spec.input_slots().len(),
+                    inputs.len()
+                ),
+            });
+        }
+        for poly in &inputs {
+            validate_poly(&info, poly)?;
+        }
+        let (ticket, reply) = Ticket::channel(deadline);
+        let cost = inputs
+            .iter()
+            .map(|p| p.len() as u64 * 8)
+            .sum::<u64>()
+            .max(64);
+        let request = Request {
+            tenant,
+            spec,
+            mode,
+            inputs,
+            reply,
+            deadline,
+            cost,
+        };
+        Ok((request, ticket))
+    }
+
+    /// The one admission decision for every queue entry, plain request
+    /// or RNS limb group. An entry is admitted whole or shed whole — a
+    /// partially-admitted group would leave the client's [`RnsTicket`]
+    /// waiting on limbs that never ran. It spends **one** rate-limit
+    /// token, from its lead tenant's bucket: an RNS submission is one
+    /// logical request, however many limbs it fans into.
+    fn admit(&self, entry: Entry) -> Result<(), BpNttError> {
+        let tenant = entry.tenant();
+        let members = entry.requests().len();
         // Token-bucket admission runs before queue-depth shedding: a
         // rate-limited tenant is told to back off even when the queue has
         // room, so its burst cannot crowd the shared queue.
@@ -1792,13 +1799,15 @@ impl NttService {
             // queue shed; a below-share tenant may still use the
             // `shed_at..max_queue` headroom, so a flooding hot tenant
             // cannot crowd everyone else out of admission (it can still
-            // starve itself — its own slots are the ones full).
+            // starve itself — its own slots are the ones full). The hard
+            // cap counts every member, so a group that does not fit
+            // whole sheds.
             let shed_at = ((self.shared.shed_threshold * self.shared.max_queue as f64).floor()
                 as usize)
                 .min(self.shared.max_queue);
             let fair_share = (shed_at / registered.max(1)).max(1);
             let depth = st.queue.len();
-            if depth >= self.shared.max_queue
+            if depth + members > self.shared.max_queue
                 || (depth >= shed_at && st.queue.depth_of(tenant) >= fair_share)
             {
                 drop(st);
@@ -1812,95 +1821,24 @@ impl NttService {
                     retry_after_ms,
                 });
             }
-            st.queue.push(Entry::One(req));
             // Count the submission before the state lock drops: once it
             // does, the dispatcher may complete the request, and a
             // snapshot must never show completed > submitted. (Metrics
             // nests inside state here; nothing locks them the other way
             // round.)
-            let depth = st.queue.len();
             let mut m = self.shared.metrics.lock().expect("metrics poisoned");
-            m.submitted += 1;
-            m.peak_queue_depth = m.peak_queue_depth.max(depth);
-            let tc = m.tenant(tenant);
-            tc.submitted += 1;
-            tc.bytes += cost;
-        }
-        self.shared.cv.notify_all();
-        Ok(())
-    }
-
-    /// Enqueues an RNS limb group atomically: every limb request is
-    /// admitted or the whole group is shed — a partially-admitted group
-    /// would leave the client's [`RnsTicket`] waiting on limbs that
-    /// never ran. The group spends **one** rate-limit token (on the
-    /// lead limb's bucket): an RNS submission is one logical request,
-    /// however many limbs it fans into. It also queues as one
-    /// [`Entry`], so its limbs always drain into the same wave.
-    fn enqueue_rns_group(&self, reqs: Vec<Request>) -> Result<(), BpNttError> {
-        let limbs = reqs.len();
-        let lead = reqs[0].tenant;
-        if let Some(limit) = self.shared.rate_limit {
-            let now = Instant::now();
-            let verdict = {
-                let mut buckets = self.shared.buckets.lock().expect("rate buckets poisoned");
-                buckets
-                    .entry(lead)
-                    .or_insert_with(|| TokenBucket {
-                        tokens: limit.burst.max(1.0),
-                        last: now,
-                    })
-                    .admit(limit, now)
-            };
-            if let Err(retry_after_ms) = verdict {
-                let mut m = self.shared.metrics.lock().expect("metrics poisoned");
-                m.rejected += 1;
-                m.rate_limited += 1;
-                m.tenant(lead).shed += 1;
-                return Err(BpNttError::RateLimited {
-                    tenant: lead.0,
-                    retry_after_ms,
-                });
+            m.submitted += members as u64;
+            if let Entry::Group(_) = entry {
+                m.rns_requests += 1;
+                m.rns_limbs += members as u64;
             }
-        }
-        let registered = self.shared.tenants.lock().expect("tenants poisoned").len();
-        {
-            let mut st = self.shared.state.lock().expect("service state poisoned");
-            if st.shutdown {
-                return Err(BpNttError::ServiceShutdown);
-            }
-            let shed_at = ((self.shared.shed_threshold * self.shared.max_queue as f64).floor()
-                as usize)
-                .min(self.shared.max_queue);
-            let fair_share = (shed_at / registered.max(1)).max(1);
-            let depth = st.queue.len();
-            if depth + limbs > self.shared.max_queue
-                || (depth >= shed_at && st.queue.depth_of(lead) >= fair_share)
-            {
-                drop(st);
-                let mut m = self.shared.metrics.lock().expect("metrics poisoned");
-                let retry_after_ms = retry_hint(m.drain_rate, depth);
-                m.rejected += 1;
-                m.tenant(lead).shed += 1;
-                return Err(BpNttError::Overloaded {
-                    depth,
-                    capacity: self.shared.max_queue,
-                    retry_after_ms,
-                });
-            }
-            let costs: Vec<(TenantId, u64)> = reqs.iter().map(|r| (r.tenant, r.cost)).collect();
-            st.queue.push(Entry::Group(reqs));
-            let depth = st.queue.len();
-            let mut m = self.shared.metrics.lock().expect("metrics poisoned");
-            m.submitted += limbs as u64;
-            m.rns_requests += 1;
-            m.rns_limbs += limbs as u64;
-            m.peak_queue_depth = m.peak_queue_depth.max(depth);
-            for (tenant, cost) in costs {
-                let tc = m.tenant(tenant);
+            m.peak_queue_depth = m.peak_queue_depth.max(depth + members);
+            for r in entry.requests() {
+                let tc = m.tenant(r.tenant);
                 tc.submitted += 1;
-                tc.bytes += cost;
+                tc.bytes += r.cost;
             }
+            st.queue.push(entry);
         }
         self.shared.cv.notify_all();
         Ok(())
@@ -3507,6 +3445,23 @@ mod tests {
         assert!(m.rns_fanout_waves >= 1, "limb group never fanned out");
         assert!(m.rns_fanout_occupancy > 0.0);
         assert_eq!(m.completed, 3, "three limb requests completed");
+    }
+
+    #[test]
+    fn failed_rns_registration_leaves_no_orphan_limb_tenants() {
+        // The third prime needs 30-bit words: at 16 bits it has no
+        // headroom, and the group must fail before its two good limbs
+        // register (orphans would shrink every tenant's fair share).
+        let service = NttService::start(&config8(), ServiceOptions::default()).unwrap();
+        let wide = bpntt_modmath::primes::find_ntt_primes(30, 64, 1).unwrap()[0];
+        let basis = Arc::new(RnsBasis::new(64, &[12289, 13313, wide]).unwrap());
+        assert!(matches!(
+            service.add_rns_tenant(140, 128, 16, &basis),
+            Err(BpNttError::NoHeadroom { q, bitwidth: 16 }) if q == wide
+        ));
+        let m = service.shutdown();
+        assert_eq!(m.tenants, 1, "only the default tenant is registered");
+        assert_eq!(m.per_tenant.len(), 1);
     }
 
     #[test]

@@ -18,9 +18,10 @@
 //!   [`BigUint`] coefficients, sharing no code with the NTT engines,
 //!   used as the end-to-end correctness oracle.
 //!
-//! The execution side — fanning limbs across the sharded engine wave
-//! and submitting RNS groups to the service — lives in
-//! `bpntt_core::rns`, which builds on this crate.
+//! The execution side — one limb tenant per prime, with limb groups
+//! admitted and fanned out through the service — is
+//! `bpntt_core::NttService::add_rns_tenant` / `submit_rns`, which build
+//! on this crate.
 //!
 //! ```
 //! use bpntt_rns::{BigUint, RnsBasis, reference};

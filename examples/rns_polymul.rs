@@ -7,19 +7,22 @@
 //! A single BP-NTT tile computes mod one word-sized prime `q`. HE-style
 //! workloads need coefficient moduli of hundreds of bits — far past any
 //! tile word. The residue number system bridges the gap: pick `L`
-//! NTT-friendly primes, work mod each independently (one engine per
-//! limb, fanned out concurrently), and reconstruct the big-integer
-//! answer with the Chinese Remainder Theorem. This example walks the
-//! whole path twice — through the raw [`RnsContext`] engine layer, then
-//! through the [`NttService`] multi-tenant front-end — and checks both
-//! against a hand-rolled bigint schoolbook product mod `Q`.
+//! NTT-friendly primes, work mod each independently (one limb tenant
+//! per prime, fanned out concurrently), and reconstruct the big-integer
+//! answer with the Chinese Remainder Theorem. This example walks that
+//! path through the [`NttService`] on both backends and checks, exiting
+//! non-zero on any failure, that:
+//!
+//! * the reconstruction equals a hand-rolled bigint schoolbook product
+//!   mod `Q`;
+//! * a second RNS group over the same basis imports at least `L − 1`
+//!   compiled pipelines from the cross-tenant cache instead of
+//!   recompiling;
+//! * one request runs as one fan-out round: all `L` limbs concurrently.
 
 use std::sync::Arc;
 
-use bpntt_core::{
-    BackendKind, BigUint, ExecMode, NttService, PipelineSpec, RnsBasis, RnsContext, RnsRequest,
-    ServiceOptions,
-};
+use bpntt_core::{BackendKind, BigUint, NttService, RnsBasis, RnsRequest, ServiceOptions};
 use bpntt_modmath::primes::find_ntt_primes;
 use bpntt_rns::reference::negacyclic_polymul_basis;
 
@@ -29,6 +32,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let n: usize = 256;
     let primes = find_ntt_primes(30, n as u64, 3)?;
     let basis = Arc::new(RnsBasis::new(n, &primes)?);
+    let limbs = basis.limbs();
     println!(
         "basis: {:?} → Q is {} bits ({})",
         basis.primes(),
@@ -56,69 +60,48 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let b = big_poly();
     let expect = negacyclic_polymul_basis(&a, &b, &basis)?;
 
-    // ---- engine layer: one sharded engine per limb, fanned out -----------
-    // Polymul holds both operands resident: 2N + 6 rows. 31-bit words on
-    // a 62-column slice give 2 lanes per limb engine.
-    let mut ctx = RnsContext::new(
-        Arc::clone(&basis),
-        2 * n + 6,
-        62,
-        31,
-        basis.limbs(),
-        BackendKind::Native,
-    )?;
-    let product = ctx.run_rns(
-        &PipelineSpec::polymul(),
-        ExecMode::Replay,
-        &[a.clone(), b.clone()],
-    )?;
-    assert_eq!(product, expect, "CRT reconstruction diverged");
-    let wave = ctx.last_wave();
-    println!(
-        "engine fan-out: {} of {} shards busy in one wave (occupancy {:.2}), wall {:.2} ms",
-        wave.participating,
-        wave.capacity,
-        wave.occupancy,
-        wave.wall_secs * 1e3
-    );
-    println!("  c[0] = {}", product[0]);
+    for backend in [BackendKind::Sim, BackendKind::Native] {
+        let service = NttService::start(
+            &bpntt_core::BpNttConfig::paper_256pt_16bit()?,
+            ServiceOptions {
+                backend,
+                ..ServiceOptions::default()
+            },
+        )?;
+        // Polymul holds both operands resident: 2N + 6 rows. 31-bit words
+        // on a 62-column slice give 2 lanes per limb engine.
+        let _first = service.add_rns_tenant(2 * n + 6, 62, 31, &basis)?;
+        let hits_before = service.metrics().pipeline_cache_hits;
+        let second = service.add_rns_tenant(2 * n + 6, 62, 31, &basis)?;
+        let plan_cache_hits = service.metrics().pipeline_cache_hits - hits_before;
+        assert!(
+            plan_cache_hits >= (limbs - 1) as u64,
+            "[{backend:?}] second RNS group recompiled limb plans: {plan_cache_hits} cache hits"
+        );
 
-    // The sequential baseline computes the same answer with one limb's
-    // shards busy at a time — the gap is what the fan-out recovers.
-    let slots_a = vec![a.clone()];
-    let slots_b = vec![b.clone()];
-    let sequential = ctx.run_limbs_sequential(
-        &PipelineSpec::polymul(),
-        ExecMode::Replay,
-        &[&slots_a, &slots_b],
-    )?;
-    assert_eq!(sequential[0], expect);
-    println!(
-        "sequential baseline: occupancy {:.2} — identical answer, idle budget",
-        ctx.last_wave().occupancy
-    );
-
-    // ---- service layer: an RNS tenant group over the same basis ----------
-    let service = NttService::start(
-        &bpntt_core::BpNttConfig::paper_256pt_16bit()?,
-        ServiceOptions {
-            backend: BackendKind::Native,
-            ..ServiceOptions::default()
-        },
-    )?;
-    let handle = service.add_rns_tenant(2 * n + 6, 62, 31, &basis)?;
-    let result = service
-        .submit_rns(&handle, RnsRequest::polymul(a, b))?
-        .wait()?;
-    assert_eq!(result.coefficients, expect, "service path diverged");
-    let m = service.shutdown();
-    println!(
-        "service: {} RNS request ({} limbs) through tenants {:?}, fan-out occupancy {:.2}",
-        m.rns_requests,
-        m.rns_limbs,
-        handle.limb_tenants(),
-        m.rns_fanout_occupancy
-    );
-    println!("all three paths agree with the bigint reference");
+        // The request runs on the group whose plans came from the cache.
+        let result = service
+            .submit_rns(&second, RnsRequest::polymul(a.clone(), b.clone()))?
+            .wait()?;
+        assert_eq!(
+            result.coefficients, expect,
+            "[{backend:?}] CRT reconstruction diverged from the bigint reference"
+        );
+        let m = service.shutdown();
+        assert_eq!(
+            m.rns_fanout_waves, 1,
+            "[{backend:?}] the {limbs} limbs of one request did not run as one fan-out round"
+        );
+        println!(
+            "{backend:?}: {} RNS request ({} limbs) through tenants {:?} in {} fan-out round, \
+             {plan_cache_hits} plan-cache hits for the second group, reconstruction exact",
+            m.rns_requests,
+            m.rns_limbs,
+            second.limb_tenants(),
+            m.rns_fanout_waves
+        );
+        println!("  c[0] = {}", result.coefficients[0]);
+    }
+    println!("both backends agree with the bigint reference");
     Ok(())
 }

@@ -1,21 +1,22 @@
-//! Cross-crate RNS/CRT equivalence tests: the multi-limb engine against
-//! the hand-rolled bigint reference, limb fan-out against the sequential
-//! baseline, compiled-plan sharing across sibling contexts and service
-//! tenant groups, a chaos drill (a dead row on one limb must heal
-//! through that limb's own recovery ladder without ever corrupting the
-//! CRT reconstruction), and the headline acceptance point: a 3-limb
-//! ~90-bit negacyclic polymul at N = 256, bit-exact in **all three**
-//! [`ExecMode`]s on **both** backends.
+//! Cross-crate RNS/CRT equivalence tests: RNS polymuls submitted
+//! through [`NttService::submit_rns`] against the hand-rolled bigint
+//! reference (2/3/5-limb and mixed-scheme bases), compiled-artifact
+//! sharing across service tenant groups, a chaos drill (a dead row on
+//! one limb must heal through that limb's own recovery ladder without
+//! ever corrupting the CRT reconstruction), and the headline acceptance
+//! point: a 3-limb ~90-bit negacyclic polymul at N = 256, bit-exact in
+//! **all three** [`ExecMode`]s on **both** backends.
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
 
 use bpntt_core::{
-    BackendKind, BigUint, ExecMode, FaultPlan, NttService, PipelineSpec, RecoveryOptions, RnsBasis,
-    RnsContext, RnsPlanCache, RnsRequest, ServiceOptions, VerifyPolicy,
+    BackendKind, BigUint, BpNttConfig, ExecMode, FaultPlan, NttService, PipelineSpec,
+    RecoveryOptions, RnsBasis, RnsRequest, ServiceOptions, ShardedBpNtt, VerifyPolicy,
 };
 use bpntt_modmath::primes::find_ntt_primes;
+use bpntt_ntt::NttParams;
 use bpntt_rns::reference::negacyclic_polymul_basis;
 
 /// 14-bit NTT-friendly primes, valid for n up to 512.
@@ -45,8 +46,22 @@ fn rows_for(n: usize) -> usize {
     2 * n + 12
 }
 
-/// Runs one negacyclic polymul through an [`RnsContext`] and checks it
-/// against the bigint reference.
+/// A service on `backend` whose default tenant is a tiny 8-point
+/// config: every test here talks to the RNS limb tenants it registers.
+fn start_service(backend: BackendKind) -> NttService {
+    let cfg = BpNttConfig::new(32, 32, 8, NttParams::new(8, 97).unwrap()).unwrap();
+    NttService::start(
+        &cfg,
+        ServiceOptions {
+            backend,
+            ..ServiceOptions::default()
+        },
+    )
+    .unwrap()
+}
+
+/// Runs one negacyclic polymul through [`NttService::submit_rns`] and
+/// checks it against the bigint reference.
 fn check_polymul(
     n: usize,
     primes: &[u64],
@@ -56,22 +71,26 @@ fn check_polymul(
     seed: u64,
 ) {
     let basis = Arc::new(RnsBasis::new(n, primes).unwrap());
-    let mut ctx = RnsContext::new(
-        Arc::clone(&basis),
-        rows_for(n),
-        128,
-        bitwidth,
-        basis.limbs(),
-        backend,
-    )
-    .unwrap();
+    let service = start_service(backend);
+    let handle = service
+        .add_rns_tenant_with_backend(rows_for(n), 128, bitwidth, &basis, backend)
+        .unwrap();
     let a = big_poly(&basis, seed);
     let b = big_poly(&basis, seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1);
-    let got = ctx
-        .run_rns(&PipelineSpec::polymul(), mode, &[a.clone(), b.clone()])
+    let got = service
+        .submit_rns(
+            &handle,
+            RnsRequest::polymul(a.clone(), b.clone()).with_mode(mode),
+        )
+        .unwrap()
+        .wait()
         .unwrap();
     let expect = negacyclic_polymul_basis(&a, &b, &basis).unwrap();
-    assert_eq!(got, expect, "n={n} primes={primes:?} {backend:?} {mode:?}");
+    assert_eq!(
+        got.coefficients, expect,
+        "n={n} primes={primes:?} {backend:?} {mode:?}"
+    );
+    let _ = service.shutdown();
 }
 
 proptest! {
@@ -115,134 +134,57 @@ proptest! {
     }
 }
 
-/// Fan-out and the sequential baseline agree bit-for-bit, and fan-out
-/// occupies strictly more of the shard budget in one wave.
-#[test]
-fn fanned_matches_sequential_and_raises_occupancy() {
-    let basis = Arc::new(RnsBasis::new(64, &P14).unwrap());
-    let mut ctx = RnsContext::new(
-        Arc::clone(&basis),
-        rows_for(64),
-        128,
-        16,
-        2 * basis.limbs(),
-        BackendKind::Sim,
-    )
-    .unwrap();
-    let a = big_poly(&basis, 7);
-    let b = big_poly(&basis, 8);
-    let spec = PipelineSpec::polymul();
-    let slots_a = vec![a.clone()];
-    let slots_b = vec![b.clone()];
-    let inputs: Vec<&[Vec<BigUint>]> = vec![&slots_a, &slots_b];
-
-    let fanned = ctx.run_rns_batch(&spec, ExecMode::Replay, &inputs).unwrap();
-    let fanned_wave = ctx.last_wave().clone();
-    let sequential = ctx
-        .run_limbs_sequential(&spec, ExecMode::Replay, &inputs)
-        .unwrap();
-    let sequential_wave = ctx.last_wave().clone();
-
-    assert_eq!(fanned, sequential, "fan-out must not change results");
-    assert_eq!(fanned[0], negacyclic_polymul_basis(&a, &b, &basis).unwrap());
-    assert!(
-        fanned_wave.participating > sequential_wave.participating,
-        "fan-out must occupy more shards per wave ({} vs {})",
-        fanned_wave.participating,
-        sequential_wave.participating
-    );
-    assert!(fanned_wave.occupancy > sequential_wave.occupancy);
-}
-
-/// Sibling contexts over one shared plan cache compile each limb prime
-/// once: the second context imports all `L` plans (hits ≥ L − 1 holds
-/// with margin).
-#[test]
-fn sibling_contexts_share_compiled_plans() {
-    let basis = Arc::new(RnsBasis::new(64, &P14).unwrap());
-    let cache = RnsPlanCache::new();
-    let spec = PipelineSpec::polymul();
-    let mk = |cache: &RnsPlanCache| {
-        RnsContext::with_plan_cache(
-            Arc::clone(&basis),
-            rows_for(64),
-            128,
-            16,
-            basis.limbs(),
-            BackendKind::Sim,
-            cache.clone(),
-        )
-        .unwrap()
-    };
-    let mut first = mk(&cache);
-    first.compile(&spec).unwrap();
-    let baseline_hits = cache.hits();
-    let mut second = mk(&cache);
-    second.compile(&spec).unwrap();
-    let hits = cache.hits() - baseline_hits;
-    assert!(
-        hits >= (basis.limbs() - 1) as u64,
-        "expected ≥ L−1 plan-cache hits, got {hits}"
-    );
-    // Shared plans execute correctly on the importing context.
-    let a = big_poly(&basis, 9);
-    let b = big_poly(&basis, 10);
-    let got = second
-        .run_rns(&spec, ExecMode::Replay, &[a.clone(), b.clone()])
-        .unwrap();
-    assert_eq!(got, negacyclic_polymul_basis(&a, &b, &basis).unwrap());
-}
-
 /// Chaos drill: a dead row seeded on ONE limb's engine corrupts that
 /// limb persistently. Its own recovery ladder (verify → retry →
 /// quarantine → software fallback) must heal it locally, the other
 /// limbs must run clean, and the CRT reconstruction must stay exact.
+/// A service fault plan reaches every tenant engine, so the drill runs
+/// one limb engine per prime by hand, as the limb tenants do.
 #[test]
 fn dead_row_on_one_limb_heals_without_corrupting_reconstruction() {
     let basis = Arc::new(RnsBasis::new(64, &P14).unwrap());
-    let mut ctx = RnsContext::new(
-        Arc::clone(&basis),
-        rows_for(64),
-        128,
-        16,
-        basis.limbs(),
-        BackendKind::Sim,
-    )
-    .unwrap();
-    ctx.set_recovery(RecoveryOptions {
-        verify: VerifyPolicy::Full,
-        retry_budget: 1,
-        software_fallback: true,
-    });
-    ctx.install_fault_plan_on_limb(1, &FaultPlan::seeded(42).dead_row(3));
-
     let a = big_poly(&basis, 11);
     let b = big_poly(&basis, 12);
-    let got = ctx
-        .run_rns(
-            &PipelineSpec::polymul(),
-            ExecMode::Replay,
-            &[a.clone(), b.clone()],
-        )
-        .unwrap();
+    let a_limbs = basis.decompose_poly(&a).unwrap();
+    let b_limbs = basis.decompose_poly(&b).unwrap();
+    let mut outputs = Vec::new();
+    let mut faults_detected = Vec::new();
+    for (limb, params) in basis.params().iter().enumerate() {
+        let cfg = BpNttConfig::new(rows_for(64), 128, 16, params.clone()).unwrap();
+        let mut engine = ShardedBpNtt::with_backend(&cfg, 1, BackendKind::Sim).unwrap();
+        engine.set_recovery(RecoveryOptions {
+            verify: VerifyPolicy::Full,
+            retry_budget: 1,
+            software_fallback: true,
+        });
+        if limb == 1 {
+            engine.install_fault_plan(&FaultPlan::seeded(42).dead_row(3));
+        }
+        let slot_a = [a_limbs[limb].clone()];
+        let slot_b = [b_limbs[limb].clone()];
+        let mut out = engine
+            .run_pipeline_batch(
+                &PipelineSpec::polymul(),
+                ExecMode::Replay,
+                &[&slot_a, &slot_b],
+            )
+            .unwrap();
+        outputs.push(out.pop().unwrap());
+        faults_detected.push(engine.last_recovery().faults_detected);
+    }
     assert_eq!(
-        got,
+        basis.reconstruct_poly(&outputs).unwrap(),
         negacyclic_polymul_basis(&a, &b, &basis).unwrap(),
         "reconstruction must be exact despite the dead row on limb 1"
     );
     // The corruption was detected and healed on limb 1 …
-    let r1 = ctx.last_recovery(1);
     assert!(
-        r1.faults_detected >= 1,
+        faults_detected[1] >= 1,
         "limb 1 must have detected its dead row"
     );
     // … and the healthy limbs never entered their ladders.
     for limb in [0, 2] {
-        assert_eq!(
-            ctx.last_recovery(limb).faults_detected,
-            0,
-            "limb {limb} ran clean"
-        );
+        assert_eq!(faults_detected[limb], 0, "limb {limb} ran clean");
     }
 }
 
@@ -262,21 +204,23 @@ fn ninety_bit_acceptance_all_modes_both_backends() {
     let b = big_poly(&basis, 22);
     let expect = negacyclic_polymul_basis(&a, &b, &basis).unwrap();
     for backend in [BackendKind::Sim, BackendKind::Native] {
-        let mut ctx = RnsContext::new(
-            Arc::clone(&basis),
-            rows_for(256),
-            62,
-            31,
-            basis.limbs(),
-            backend,
-        )
-        .unwrap();
+        let service = start_service(backend);
+        let handle = service
+            .add_rns_tenant_with_backend(rows_for(256), 62, 31, &basis, backend)
+            .unwrap();
         for mode in ExecMode::ALL {
-            let got = ctx
-                .run_rns(&PipelineSpec::polymul(), mode, &[a.clone(), b.clone()])
+            let got = service
+                .submit_rns(
+                    &handle,
+                    RnsRequest::polymul(a.clone(), b.clone()).with_mode(mode),
+                )
+                .unwrap()
+                .wait()
                 .unwrap();
-            assert_eq!(got, expect, "{backend:?} {mode:?}");
+            assert_eq!(got.coefficients, expect, "{backend:?} {mode:?}");
         }
+        let m = service.shutdown();
+        assert_eq!(m.rns_requests, ExecMode::ALL.len() as u64, "{backend:?}");
     }
 }
 
