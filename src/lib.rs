@@ -8,6 +8,8 @@
 //! * [`sram`] — the bit-accurate in-SRAM computing simulator and its
 //!   compiled-program replay fast path;
 //! * [`ntt`] — software reference NTT (forward/inverse/polymul);
+//! * [`rns`] — RNS/CRT bases and big-integer coefficients, and the
+//!   service types that run a big-modulus request as one limb group;
 //! * [`core`] — the BP-NTT accelerator engine (layout, kernels,
 //!   compile-once/replay-many programs, sharded batch execution);
 //! * [`net`] — the length-prefixed TCP front-end over the core service
@@ -16,6 +18,8 @@
 //!   paper-figure evaluation harness.
 
 #![forbid(unsafe_code)]
+
+pub mod rns;
 
 pub use bpntt_baselines as baselines;
 pub use bpntt_cachesim as cachesim;

@@ -1,11 +1,12 @@
 //! Cross-crate RNS/CRT equivalence tests: RNS polymuls submitted
 //! through [`NttService::submit_rns`] against the hand-rolled bigint
 //! reference (2/3/5-limb and mixed-scheme bases), compiled-artifact
-//! sharing across service tenant groups, a chaos drill (a dead row on
-//! one limb must heal through that limb's own recovery ladder without
-//! ever corrupting the CRT reconstruction), and the headline acceptance
-//! point: a 3-limb ~90-bit negacyclic polymul at N = 256, bit-exact in
-//! **all three** [`ExecMode`]s on **both** backends.
+//! sharing across service tenant groups over the same and overlapping
+//! bases, a chaos drill (a dead row on one limb must heal through that
+//! limb's own recovery ladder without ever corrupting the CRT
+//! reconstruction), and the headline acceptance point: a 3-limb ~90-bit
+//! negacyclic polymul at N = 256, bit-exact in **all three**
+//! [`ExecMode`]s on **both** backends.
 
 use std::sync::Arc;
 
@@ -222,6 +223,49 @@ fn ninety_bit_acceptance_all_modes_both_backends() {
         let m = service.shutdown();
         assert_eq!(m.rns_requests, ExecMode::ALL.len() as u64, "{backend:?}");
     }
+}
+
+/// Sibling RNS groups over overlapping bases: the second group imports
+/// the compiled plans of every prime it shares with the first (one
+/// pipeline-cache hit each), compiles only its new prime, and both
+/// groups reconstruct exactly against their own basis.
+#[test]
+fn sibling_contexts_share_compiled_plans() {
+    let service = start_service(BackendKind::Sim);
+    let primes = find_ntt_primes(14, 64, 4).unwrap();
+    let first_basis = Arc::new(RnsBasis::new(64, &primes[..3]).unwrap());
+    let second_basis = Arc::new(RnsBasis::new(64, &primes[1..]).unwrap());
+    let first = service
+        .add_rns_tenant(rows_for(64), 128, 16, &first_basis)
+        .unwrap();
+    let before = service.metrics();
+    let second = service
+        .add_rns_tenant(rows_for(64), 128, 16, &second_basis)
+        .unwrap();
+    let after = service.metrics();
+    assert_eq!(
+        after.pipeline_cache_hits - before.pipeline_cache_hits,
+        2,
+        "the two shared primes must import their plans"
+    );
+    assert!(
+        after.pipeline_cache_entries > before.pipeline_cache_entries,
+        "the new prime must compile its own plans"
+    );
+    for (handle, basis, seed) in [(&first, &first_basis, 41), (&second, &second_basis, 43)] {
+        let a = big_poly(basis, seed);
+        let b = big_poly(basis, seed + 1);
+        let got = service
+            .submit_rns(handle, RnsRequest::polymul(a.clone(), b.clone()))
+            .unwrap()
+            .wait()
+            .unwrap();
+        assert_eq!(
+            got.coefficients,
+            negacyclic_polymul_basis(&a, &b, basis).unwrap()
+        );
+    }
+    let _ = service.shutdown();
 }
 
 /// Service-level smoke: two tenant groups over one basis share compiled
